@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"thermalsched/internal/coloop"
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/dtm"
 	"thermalsched/internal/experiments"
@@ -467,6 +468,64 @@ func BenchmarkHotSpotTransientStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tr.StepVecInto(dst, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotSpotTransientStepSizes prices one transient step on the
+// 4-, 16- and 64-block grids the closed-loop flows run on.
+func BenchmarkHotSpotTransientStepSizes(b *testing.B) {
+	for _, n := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("blocks=%d", n), func(b *testing.B) {
+			fp, err := floorplan.Grid("b", n, 4e-6)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := hotspot.NewModel(fp, hotspot.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr, err := m.NewTransient(0.1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := make([]float64, n)
+			for i := range p {
+				p[i] = 1 + float64(i%3)
+			}
+			dst := make([]float64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tr.StepVecInto(dst, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRiseForecaster prices building one request's admission
+// forecaster on a 16-block platform: one unit-step response per block
+// out to a 40-step horizon, against the model's cached step factor.
+func BenchmarkRiseForecaster(b *testing.B) {
+	fp, err := floorplan.Grid("b", 16, 4e-6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := hotspot.NewModel(fp, hotspot.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks := make([]int, 16)
+	for i := range blocks {
+		blocks[i] = i
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coloop.NewRiseForecaster(m, blocks, 0.1, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"thermalsched/internal/coloop"
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/dtm"
 	"thermalsched/internal/experiments"
@@ -39,6 +40,10 @@ type Engine struct {
 	// steady-state fast path every thermal inquiry rides — so repeated
 	// thermal flows over one floorplan pay for both exactly once.
 	models *search.LRU[*hotspot.Model]
+	// newModel builds the models the cache holds: hotspot.NewModel,
+	// except that the closed-loop parity tests substitute
+	// hotspot.NewReferenceModel to obtain dense-reference runs.
+	newModel cosynth.ModelProvider
 	// scenarios memoizes generated synthetic scenarios by fingerprint,
 	// so a campaign's policies share one generation per scenario;
 	// streams does the same for generated online workloads.
@@ -162,6 +167,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		thermal:   o.thermal,
 		workers:   o.workers,
 		models:    search.NewLRU[*hotspot.Model](o.cacheSize),
+		newModel:  hotspot.NewModel,
 		scenarios: newFPCache[*Scenario](DefaultScenarioCacheSize),
 		streams:   newFPCache[*StreamWorkload](DefaultScenarioCacheSize),
 		benches:   make(map[string]*Graph),
@@ -608,6 +614,12 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 	}
 	spec := req.Simulate.withDefaults()
 
+	// The rise forecaster depends on the schedule, model and step but
+	// not on the replica seed: proactive replicas share one, built by
+	// whichever replica needs it first and dropped with the request.
+	forecast := sync.OnceValues(func() (*coloop.RiseForecaster, error) {
+		return rt.NewForecaster(res.Schedule, res.Model, rt.Config{DT: spec.DT, TimeScale: spec.TimeScale})
+	})
 	results := make([]*rt.Result, spec.Replicas)
 	errs := make([]error, spec.Replicas)
 	runReplica := func(i int) {
@@ -626,6 +638,11 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 				Seed:        spec.Seed + int64(i),
 				Conditional: spec.Conditional,
 			},
+		}
+		if sup != nil && sup.Proactive() {
+			if rcfg.Forecast, errs[i] = forecast(); errs[i] != nil {
+				return
+			}
 		}
 		results[i], errs[i] = rt.Simulate(ctx, res.Schedule, res.Model, rcfg)
 	}
@@ -712,14 +729,14 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 // factorization cache.
 func (e *Engine) modelProvider() cosynth.ModelProvider {
 	if e.models.Cap() == 0 {
-		return nil // caching disabled; cosynth falls back to hotspot.NewModel
+		return e.newModel // caching disabled: a fresh model per build
 	}
 	return func(fp *floorplan.Floorplan, cfg hotspot.Config) (*hotspot.Model, error) {
 		key := modelKey(fp, cfg)
 		if m, ok := e.models.Get(key); ok {
 			return m, nil
 		}
-		m, err := hotspot.NewModel(fp, cfg)
+		m, err := e.newModel(fp, cfg)
 		if err != nil {
 			return nil, err
 		}

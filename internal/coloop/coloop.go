@@ -285,7 +285,9 @@ type RiseForecaster struct {
 
 // NewRiseForecaster samples the unit-step self-response of every PE
 // block at dtSec granularity out to maxDurSec (clamped to riseCurveCap
-// steps). Blocks shared by several PEs are integrated once.
+// steps), stepping all blocks together on the model's shared step
+// factor. A forecaster is read-only once built: build one per request
+// and share it across the request's replicas.
 func NewRiseForecaster(model *hotspot.Model, peBlock []int, dtSec, maxDurSec float64) (*RiseForecaster, error) {
 	if !(dtSec > 0) {
 		return nil, fmt.Errorf("coloop: forecaster step %g must be positive", dtSec)
@@ -297,30 +299,22 @@ func NewRiseForecaster(model *hotspot.Model, peBlock []int, dtSec, maxDurSec flo
 	if steps > riseCurveCap {
 		steps = riseCurveCap
 	}
-	ambient := model.Config().AmbientC
-	byBlock := make(map[int][]float64)
+	// Blocks shared by several PEs are integrated once.
+	var blocks []int
+	curveOf := make(map[int]int, len(peBlock)) // block → index into blocks
+	for _, b := range peBlock {
+		if _, ok := curveOf[b]; !ok {
+			curveOf[b] = len(blocks)
+			blocks = append(blocks, b)
+		}
+	}
+	curves, err := model.SelfStepResponses(dtSec, blocks, steps)
+	if err != nil {
+		return nil, err
+	}
 	f := &RiseForecaster{dtSec: dtSec, curves: make([][]float64, len(peBlock))}
 	for pe, b := range peBlock {
-		if curve, ok := byBlock[b]; ok {
-			f.curves[pe] = curve
-			continue
-		}
-		tr, err := model.NewTransient(dtSec)
-		if err != nil {
-			return nil, err
-		}
-		unit := make([]float64, model.NumBlocks())
-		unit[b] = 1
-		temps := make([]float64, model.NumBlocks())
-		curve := make([]float64, steps)
-		for i := range curve {
-			if err := tr.StepVecInto(temps, unit); err != nil {
-				return nil, err
-			}
-			curve[i] = temps[b] - ambient
-		}
-		byBlock[b] = curve
-		f.curves[pe] = curve
+		f.curves[pe] = curves[curveOf[b]]
 	}
 	return f, nil
 }

@@ -26,12 +26,27 @@ type Model struct {
 	solv  linalg.SteadySolver // factored/preconditioned backend per cfg.SolverKind
 	caps  []float64           // node heat capacities (transient)
 
-	// The dense image of csr, materialized on demand: the transient
-	// stepper and Conductance() still consume a dense matrix, and the
-	// dense solver path factors it eagerly. Sparse-backend models that
-	// never step a transient never pay the n² expansion.
+	// The dense image of csr, materialized on demand: the dense
+	// steady-state backend factors it eagerly, and Conductance() hands
+	// out copies. Sparse and PCG models never pay the n² expansion.
 	gOnce sync.Once
 	g     *linalg.Matrix
+
+	// One elimination order serves every factorization of the model:
+	// the sparse steady backend factors G, each transient factors
+	// C/dt + G, and both have G's pattern. order[k] is the node
+	// eliminated at step k and pos its inverse. Reference models
+	// eliminate in natural order (see NewReferenceModel).
+	reference bool
+	orderOnce sync.Once
+	order     []int
+	pos       []int
+
+	// Backward-Euler step factors of C/dt + G, keyed by dt and shared
+	// read-only by every Transient of the model, at most
+	// maxStepFactors of them (oldest evicted first).
+	stepMu    sync.Mutex
+	stepFacts []*linalg.BackwardEuler
 
 	// Influence matrix: because the RC network is linear, steady-state
 	// block temperature rise is an affine function of block power,
@@ -56,6 +71,21 @@ type Model struct {
 // NewModel builds the thermal network for fp under cfg. The floorplan
 // must be valid (non-empty, no overlaps).
 func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
+	return newModel(fp, cfg, false)
+}
+
+// NewReferenceModel builds the same network as NewModel, but every
+// factorization eliminates nodes in natural order instead of the
+// min-degree order. A natural-order sparse Cholesky factor is bitwise
+// the dense Cholesky factor, so a reference model's transients step
+// like a dense Cholesky solve of C/dt + G to rounding: the reference
+// the closed-loop parity tests hold the production stepper to. It is
+// slower on large platforms and has no other use.
+func NewReferenceModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
+	return newModel(fp, cfg, true)
+}
+
+func newModel(fp *floorplan.Floorplan, cfg Config, reference bool) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -75,6 +105,8 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 		n:      n,
 		total:  total,
 		caps:   make([]float64, total),
+
+		reference: reference,
 	}
 	for i, name := range m.names {
 		m.byName[name] = i
@@ -189,7 +221,8 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 		}
 		m.solv = chol
 	case SolverSparse:
-		f, err := linalg.FactorSparseCholeskyOrdered(m.csr, linalg.MinDegreeOrdering(m.csr))
+		order, _ := m.elimination()
+		f, err := linalg.FactorSparseCholeskyOrdered(m.csr, order)
 		if err != nil {
 			return nil, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
 		}
@@ -217,6 +250,55 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 func (m *Model) denseG() *linalg.Matrix {
 	m.gOnce.Do(func() { m.g = m.csr.Dense() })
 	return m.g
+}
+
+// elimination returns (computing once) the model's shared elimination
+// order and its inverse. Both are read-only.
+func (m *Model) elimination() (order, pos []int) {
+	m.orderOnce.Do(func() {
+		if m.reference {
+			m.order = make([]int, m.total)
+			for i := range m.order {
+				m.order[i] = i
+			}
+		} else {
+			m.order = linalg.MinDegreeOrdering(m.csr)
+		}
+		m.pos = make([]int, m.total)
+		for k, v := range m.order {
+			m.pos[v] = k
+		}
+	})
+	return m.order, m.pos
+}
+
+// maxStepFactors bounds the step factors cached per model. Closed-loop
+// flows step one model at one dt (the forecaster shares it), so the
+// bound only matters for callers sweeping dt.
+const maxStepFactors = 4
+
+// stepFactor returns the shared backward-Euler factor of C/dt + G,
+// factoring and caching it on first request. Concurrent first requests
+// for one dt wait on the lock and share one factorization.
+func (m *Model) stepFactor(dt float64) (*linalg.BackwardEuler, error) {
+	m.stepMu.Lock()
+	defer m.stepMu.Unlock()
+	for _, f := range m.stepFacts {
+		if f.Dt() == dt {
+			return f, nil
+		}
+	}
+	order, _ := m.elimination()
+	f, err := linalg.NewBackwardEuler(m.csr, m.caps, dt, order)
+	if err != nil {
+		return nil, err
+	}
+	if len(m.stepFacts) == maxStepFactors {
+		copy(m.stepFacts, m.stepFacts[1:])
+		m.stepFacts = m.stepFacts[:maxStepFactors-1]
+	}
+	m.stepFacts = append(m.stepFacts, f)
+	return f, nil
 }
 
 // Config returns the model's configuration.

@@ -151,20 +151,36 @@ func TestSolverBackendsAgree(t *testing.T) {
 	}
 }
 
-// TestSparseBackendTransient checks that a sparse-backend model can
-// still run the (dense) transient stepper, via the lazy dense image.
+// TestSparseBackendTransient checks that transient stepping does not
+// depend on the steady-state backend: every backend's model steps with
+// the same min-degree sparse factor of C/dt + G, so trajectories are
+// bitwise identical across Config.Solver.
 func TestSparseBackendTransient(t *testing.T) {
-	m := solverModel(t, 9, SolverSparse)
-	tr, err := m.NewTransient(0.01)
-	if err != nil {
-		t.Fatalf("NewTransient: %v", err)
-	}
-	temps, err := tr.Step(map[string]float64{"b0": 10})
-	if err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	if temps.Max() <= m.Config().AmbientC {
-		t.Fatalf("transient step did not heat: max %v", temps.Max())
+	var want []float64
+	for _, solver := range SolverNames() {
+		m := solverModel(t, 9, solver)
+		tr, err := m.NewTransient(0.01)
+		if err != nil {
+			t.Fatalf("%s NewTransient: %v", solver, err)
+		}
+		var temps Temps
+		for i := 0; i < 20; i++ {
+			if temps, err = tr.Step(map[string]float64{"b0": 10, "b4": 3}); err != nil {
+				t.Fatalf("%s Step: %v", solver, err)
+			}
+		}
+		if temps.Max() <= m.Config().AmbientC {
+			t.Fatalf("%s transient step did not heat: max %v", solver, temps.Max())
+		}
+		if want == nil {
+			want = temps.Values()
+			continue
+		}
+		for i, v := range temps.Values() {
+			if v != want[i] {
+				t.Fatalf("%s block %d = %v, dense-backend model %v", solver, i, v, want[i])
+			}
+		}
 	}
 }
 

@@ -9,27 +9,38 @@ import (
 // Transient integrates the thermal network over time with fixed-step
 // backward Euler. Construct one with Model.NewTransient; feed it power
 // samples with Step. The state starts at ambient.
+//
+// A Transient owns only its state: the factor of C/dt + G is the
+// model's, shared read-only with every other Transient at the same dt.
+// The state and power workspace are kept in the factor's elimination
+// order, so a step touches no permutation beyond the block entries it
+// reads and writes, takes no lock and allocates nothing. Transients are
+// not safe for concurrent use; distinct Transients of one model are.
 type Transient struct {
-	m       *Model
-	stepper *linalg.BackwardEulerStepper
-	state   []float64 // temperature rise over ambient, all nodes
-	next    []float64 // workspace for the incoming state (swapped with state)
-	pbuf    []float64 // workspace: block powers widened to all nodes
-	now     float64   // elapsed simulated seconds
+	m     *Model
+	be    *linalg.BackwardEuler
+	pos   []int     // node → elimination position (the model's, read-only)
+	state []float64 // temperature rise over ambient, elimination order
+	pbuf  []float64 // node powers, elimination order; non-block entries stay zero
+	now   float64   // elapsed simulated seconds
 }
 
-// NewTransient creates a transient simulation with time step dt seconds.
+// NewTransient creates a transient simulation with time step dt
+// seconds. Transient stepping always uses the model's cached sparse
+// Cholesky factor of C/dt + G, whatever Config.Solver selects for the
+// steady state.
 func (m *Model) NewTransient(dt float64) (*Transient, error) {
-	st, err := linalg.NewBackwardEulerStepper(m.denseG(), m.caps, dt)
+	be, err := m.stepFactor(dt)
 	if err != nil {
 		return nil, fmt.Errorf("hotspot: transient init: %w", err)
 	}
+	_, pos := m.elimination()
 	return &Transient{
-		m:       m,
-		stepper: st,
-		state:   make([]float64, m.total),
-		next:    make([]float64, m.total),
-		pbuf:    make([]float64, m.total),
+		m:     m,
+		be:    be,
+		pos:   pos,
+		state: make([]float64, m.total),
+		pbuf:  make([]float64, m.total),
 	}, nil
 }
 
@@ -52,7 +63,9 @@ func (tr *Transient) SetRise(rise []float64) error {
 	if len(rise) != len(tr.state) {
 		return fmt.Errorf("hotspot: rise vector length %d, want %d", len(rise), len(tr.state))
 	}
-	copy(tr.state, rise)
+	for i, r := range rise {
+		tr.state[tr.pos[i]] = r
+	}
 	return nil
 }
 
@@ -63,7 +76,10 @@ func (tr *Transient) Step(power map[string]float64) (Temps, error) {
 	if err != nil {
 		return Temps{}, err
 	}
-	if err := tr.stepNodes(p); err != nil {
+	for i, w := range p {
+		tr.pbuf[tr.pos[i]] = w
+	}
+	if err := tr.step(); err != nil {
 		return Temps{}, err
 	}
 	return tr.snapshot(), nil
@@ -88,25 +104,26 @@ func (tr *Transient) StepVecInto(dst, power []float64) error {
 	if len(dst) != tr.m.n {
 		return fmt.Errorf("hotspot: temperature vector length %d, want %d", len(dst), tr.m.n)
 	}
-	copy(tr.pbuf, power) // non-block nodes of pbuf stay zero
-	if err := tr.stepNodes(tr.pbuf); err != nil {
+	pos := tr.pos[:len(power)]
+	for i, w := range power {
+		tr.pbuf[pos[i]] = w
+	}
+	if err := tr.step(); err != nil {
 		return err
 	}
 	ambient := tr.m.cfg.AmbientC
 	for i := range dst {
-		dst[i] = tr.state[i] + ambient
+		dst[i] = tr.state[pos[i]] + ambient
 	}
 	return nil
 }
 
-// stepNodes advances the full node state under an all-nodes power
-// vector, reusing the swap buffer so stepping never allocates.
-func (tr *Transient) stepNodes(p []float64) error {
-	if err := tr.stepper.StepInto(tr.next, tr.state, p); err != nil {
+// step advances the state one step under the powers staged in pbuf.
+func (tr *Transient) step() error {
+	if err := tr.be.StepInto(tr.state, tr.pbuf); err != nil {
 		return fmt.Errorf("hotspot: transient step: %w", err)
 	}
-	tr.state, tr.next = tr.next, tr.state
-	tr.now += tr.stepper.Dt()
+	tr.now += tr.be.Dt()
 	return nil
 }
 
@@ -116,7 +133,7 @@ func (tr *Transient) Temps() Temps { return tr.snapshot() }
 func (tr *Transient) snapshot() Temps {
 	vals := make([]float64, tr.m.n)
 	for i := range vals {
-		vals[i] = tr.state[i] + tr.m.cfg.AmbientC
+		vals[i] = tr.state[tr.pos[i]] + tr.m.cfg.AmbientC
 	}
 	return Temps{names: tr.m.names, byName: tr.m.byName, values: vals}
 }
@@ -132,6 +149,44 @@ func (tr *Transient) Run(samples [][]float64) ([]Temps, error) {
 			return nil, fmt.Errorf("hotspot: sample %d: %w", i, err)
 		}
 		out = append(out, t)
+	}
+	return out, nil
+}
+
+// SelfStepResponses integrates, for each listed block, the unit-step
+// response of that block's own temperature: 1 W applied to the block
+// alone from an ambient start, stepped with backward Euler at dt. Row
+// r holds block blocks[r]'s rise over ambient (K/W) after each of the
+// steps. All responses advance together through one sweep of the
+// model's shared step factor per step; each is bitwise what a separate
+// Transient stepping that load would produce.
+func (m *Model) SelfStepResponses(dt float64, blocks []int, steps int) ([][]float64, error) {
+	be, err := m.stepFactor(dt)
+	if err != nil {
+		return nil, fmt.Errorf("hotspot: step responses: %w", err)
+	}
+	_, pos := m.elimination()
+	k := len(blocks)
+	x := make([]float64, m.total*k)
+	p := make([]float64, m.total*k)
+	out := make([][]float64, k)
+	for r, b := range blocks {
+		if b < 0 || b >= m.n {
+			return nil, fmt.Errorf("hotspot: step response block %d out of range [0,%d)", b, m.n)
+		}
+		p[pos[b]*k+r] = 1
+		out[r] = make([]float64, steps)
+	}
+	if k == 0 {
+		return out, nil
+	}
+	for s := 0; s < steps; s++ {
+		if err := be.StepManyInto(x, p, k); err != nil {
+			return nil, fmt.Errorf("hotspot: step responses: %w", err)
+		}
+		for r, b := range blocks {
+			out[r][s] = x[pos[b]*k+r]
+		}
 	}
 	return out, nil
 }

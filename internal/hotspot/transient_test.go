@@ -2,7 +2,11 @@ package hotspot
 
 import (
 	"math"
+	"sync"
 	"testing"
+
+	"thermalsched/internal/floorplan"
+	"thermalsched/internal/linalg"
 )
 
 func TestTransientStartsAtAmbient(t *testing.T) {
@@ -206,5 +210,265 @@ func TestSetRiseWarmStartIsFixedPoint(t *testing.T) {
 	}
 	if err := tr.SetRise(rise[:3]); err == nil {
 		t.Error("short rise vector accepted")
+	}
+}
+
+// nodeRise returns the full node state in node order.
+func (tr *Transient) nodeRise() []float64 {
+	out := make([]float64, len(tr.state))
+	for i := range out {
+		out[i] = tr.state[tr.pos[i]]
+	}
+	return out
+}
+
+// TestTransientEnergyBalance checks backward Euler's exact discrete
+// energy balance. Summing (C/dt + G)·T′ = C/dt·T + P over all nodes,
+// every internal conductance cancels (G's column sums are zero except
+// the sink's convection leg), leaving
+//
+//	Σ P·dt = 1ᵀC·ΔT + dt·g_conv·T′_sink
+//
+// for every step: the energy injected is stored or convected away.
+func TestTransientEnergyBalance(t *testing.T) {
+	m := solverModel(t, 16, SolverDense)
+	const dt = 0.05
+	tr, err := m.NewTransient(dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gConv := 1 / m.cfg.ConvectionResistance
+	sink := m.total - 1
+	p := make([]float64, m.NumBlocks())
+	temps := make([]float64, m.NumBlocks())
+	for step := 0; step < 400; step++ {
+		var injected float64
+		for i := range p {
+			p[i] = float64((i*7+step)%5) * 0.8
+			injected += p[i] * dt
+		}
+		before := tr.nodeRise()
+		if err := tr.StepVecInto(temps, p); err != nil {
+			t.Fatal(err)
+		}
+		after := tr.nodeRise()
+		var stored float64
+		for i, c := range m.caps {
+			stored += c * (after[i] - before[i])
+		}
+		convected := dt * gConv * after[sink]
+		if got := stored + convected; math.Abs(got-injected) > 1e-9*injected {
+			t.Fatalf("step %d: stored %v + convected %v = %v, injected %v", step, stored, convected, got, injected)
+		}
+	}
+}
+
+// TestTransientConvergesToSteadyNodeRise steps a constant load until
+// every node — die blocks, spreader regions, ring and sink — settles on
+// the steady-state solve of the full network.
+func TestTransientConvergesToSteadyNodeRise(t *testing.T) {
+	m := solverModel(t, 16, SolverSparse)
+	p := make([]float64, m.NumBlocks())
+	for i := range p {
+		p[i] = 0.5 + float64(i%4)
+	}
+	want, err := m.SteadyNodeRise(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := m.NewTransient(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	temps := make([]float64, m.NumBlocks())
+	for i := 0; i < 4000; i++ {
+		if err := tr.StepVecInto(temps, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, v := range tr.nodeRise() {
+		if math.Abs(v-want[i]) > 1e-9*want[i] {
+			t.Errorf("node %d rise %v, steady %v", i, v, want[i])
+		}
+	}
+}
+
+// TestReferenceModelStepsAsDenseCholesky pins the parity reference: a
+// reference model's transient tracks the in-test dense Cholesky
+// stepper of Conductance() + C/dt to 1e-12 K over a long trajectory,
+// and the production (min-degree) stepper tracks both to 1e-9 K.
+func TestReferenceModelStepsAsDenseCholesky(t *testing.T) {
+	fp, err := floorplan.Grid("b", 16, 4e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewReferenceModel(fp, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err := NewModel(fp, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dt = 0.02
+	lhs := ref.Conductance()
+	for i, c := range ref.caps {
+		lhs.Add(i, i, c/dt)
+	}
+	chol, err := linalg.FactorCholesky(lhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refTr, err := ref.NewTransient(dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prodTr, err := prod.NewTransient(dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := make([]float64, ref.total)
+	rhs := make([]float64, ref.total)
+	got := make([]float64, ref.NumBlocks())
+	gotProd := make([]float64, ref.NumBlocks())
+	p := make([]float64, ref.NumBlocks())
+	for step := 0; step < 500; step++ {
+		for i := range p {
+			p[i] = float64((i+step/50)%3) * 2
+		}
+		for i := range rhs {
+			rhs[i] = ref.caps[i] / dt * dense[i]
+			if i < len(p) {
+				rhs[i] += p[i]
+			}
+		}
+		if err := chol.SolveInto(dense, rhs); err != nil {
+			t.Fatal(err)
+		}
+		if err := refTr.StepVecInto(got, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := prodTr.StepVecInto(gotProd, p); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if want := dense[i] + ref.cfg.AmbientC; math.Abs(got[i]-want) > 1e-12 {
+				t.Fatalf("step %d block %d: reference %v, dense Cholesky %v", step, i, got[i], want)
+			}
+			if math.Abs(gotProd[i]-dense[i]-ref.cfg.AmbientC) > 1e-9 {
+				t.Fatalf("step %d block %d: production %v, dense Cholesky %v", step, i, gotProd[i], dense[i]+ref.cfg.AmbientC)
+			}
+		}
+	}
+}
+
+// TestTransientsShareOneFactor checks the per-model factor cache: one
+// factor per dt, shared by every Transient, bounded in count.
+func TestTransientsShareOneFactor(t *testing.T) {
+	m := model4(t)
+	a, err := m.NewTransient(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.NewTransient(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.be != b.be {
+		t.Error("two transients at one dt built separate factors")
+	}
+	for i := 1; i <= 2*maxStepFactors; i++ {
+		if _, err := m.NewTransient(float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.stepFacts) != maxStepFactors {
+		t.Errorf("%d cached factors, bound %d", len(m.stepFacts), maxStepFactors)
+	}
+}
+
+// TestTransientSharedFactorConcurrent steps transients that share one
+// cached factor from concurrent goroutines; every trajectory must be
+// bitwise the serial one. The race job runs it under -race.
+func TestTransientSharedFactorConcurrent(t *testing.T) {
+	m := solverModel(t, 16, SolverDense)
+	const dt, steps, workers = 0.05, 300, 8
+	run := func(w int) []float64 {
+		tr, err := m.NewTransient(dt)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		p := make([]float64, m.NumBlocks())
+		temps := make([]float64, m.NumBlocks())
+		traj := make([]float64, 0, steps*len(temps))
+		for s := 0; s < steps; s++ {
+			p[(w+s/20)%len(p)] = float64(w + 1)
+			if err := tr.StepVecInto(temps, p); err != nil {
+				t.Error(err)
+				return nil
+			}
+			traj = append(traj, temps...)
+		}
+		return traj
+	}
+	serial := make([][]float64, workers)
+	for w := range serial {
+		serial[w] = run(w)
+	}
+	got := make([][]float64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = run(w)
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if len(got[w]) != len(serial[w]) {
+			t.Fatalf("worker %d: trajectory length %d, serial %d", w, len(got[w]), len(serial[w]))
+		}
+		for i := range got[w] {
+			if got[w][i] != serial[w][i] {
+				t.Fatalf("worker %d sample %d: concurrent %v, serial %v", w, i, got[w][i], serial[w][i])
+			}
+		}
+	}
+}
+
+// TestSelfStepResponsesMatchTransients checks the batched unit-step
+// responses against one Transient per block, bitwise.
+func TestSelfStepResponsesMatchTransients(t *testing.T) {
+	m := solverModel(t, 9, SolverDense)
+	const dt, steps = 0.1, 50
+	blocks := []int{4, 0, 8}
+	curves, err := m.SelfStepResponses(dt, blocks, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, b := range blocks {
+		tr, err := m.NewTransient(dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit := make([]float64, m.NumBlocks())
+		unit[b] = 1
+		temps := make([]float64, m.NumBlocks())
+		for s := 0; s < steps; s++ {
+			if err := tr.StepVecInto(temps, unit); err != nil {
+				t.Fatal(err)
+			}
+			if want := tr.nodeRise()[b]; curves[r][s] != want {
+				t.Fatalf("block %d step %d: batched %v, transient %v", b, s, curves[r][s], want)
+			}
+		}
+	}
+	if _, err := m.SelfStepResponses(dt, []int{m.NumBlocks()}, 1); err == nil {
+		t.Error("out-of-range block accepted")
+	}
+	if _, err := m.SelfStepResponses(0, blocks, 1); err == nil {
+		t.Error("zero dt accepted")
 	}
 }

@@ -1,11 +1,12 @@
-// Package linalg implements the small dense linear-algebra kernels the
-// thermal RC model needs: matrices, LU and Cholesky factorizations,
-// a conjugate-gradient solver, and implicit/explicit ODE steppers.
+// Package linalg implements the linear-algebra kernels the thermal RC
+// model needs: dense and sparse matrices, dense and sparse Cholesky
+// factorizations, conjugate-gradient solvers, and the sparse
+// backward-Euler stepper.
 //
 // The Go standard library ships no numerics, and this reproduction is
-// offline-only, so everything here is written from scratch. Matrices are
-// dense row-major float64; the thermal networks in this repository are a
-// few dozen to a few hundred nodes, well within dense-solver territory.
+// offline-only, so everything here is written from scratch. Dense
+// matrices are row-major float64; they remain the golden reference
+// for the sparse kernels, which carry the hot paths.
 package linalg
 
 import (

@@ -10,109 +10,151 @@ import (
 //	C·dT/dt = P(t) − G·T
 //
 // with diagonal capacitance C, conductance G and power injection P.
-// BackwardEuler is unconditionally stable and is the default integrator;
-// RK4 is provided for cross-checking accuracy on small steps.
+// Backward Euler is unconditionally stable and is the integrator every
+// transient in this repository uses.
 
-// BackwardEulerStepper integrates C·dT/dt = P − G·T with the implicit
-// scheme (C/dt + G)·T₊ = C/dt·T + P. The left-hand matrix is factored
-// once at construction, so stepping is O(n²) per step.
-type BackwardEulerStepper struct {
-	n    int
-	dt   float64
-	caps []float64 // diagonal capacitances (copy)
-	lu   *LU
-	rhs  []float64 // workspace for StepInto, so stepping never allocates
+// BackwardEuler is the factored implicit system of the scheme
+// (C/dt + G)·T₊ = C/dt·T + P. C/dt + G is SPD with the sparsity of G,
+// so it is factored once with SparseCholesky under the caller's
+// elimination order; the factor is immutable afterwards and safe for
+// concurrent read-only use, so any number of states can step against
+// one BackwardEuler at once.
+//
+// States and power vectors passed to StepInto are in elimination order
+// (position k holds original node perm[k] of the order the factor was
+// built with): a caller that keeps its state permuted steps with no
+// gather/scatter at all.
+type BackwardEuler struct {
+	dt  float64
+	cdt []float64 // C/dt, in elimination order
+	inv []float64 // reciprocal pivots 1/L[k,k]: a multiply, not a divide, on the sweeps' critical path
+	f   *SparseCholesky
 }
 
-// NewBackwardEulerStepper builds a stepper for conductance matrix g
-// (n×n), diagonal capacitances c (length n) and fixed step dt (seconds).
-func NewBackwardEulerStepper(g *Matrix, c []float64, dt float64) (*BackwardEulerStepper, error) {
-	n := g.Rows()
-	if g.Cols() != n {
-		return nil, fmt.Errorf("linalg: conductance matrix must be square, got %dx%d", n, g.Cols())
-	}
+// NewBackwardEuler factors C/dt + G for conductance matrix g, diagonal
+// capacitances c (length g.N()) and fixed step dt (seconds) under the
+// elimination order perm (nil means natural order, in which the factor
+// is bitwise the dense Cholesky of C/dt + G).
+func NewBackwardEuler(g *CSR, c []float64, dt float64, perm []int) (*BackwardEuler, error) {
+	n := g.N()
 	if len(c) != n {
 		return nil, fmt.Errorf("linalg: capacitance length %d, want %d", len(c), n)
 	}
-	if dt <= 0 {
+	if !(dt > 0) {
 		return nil, errors.New("linalg: step size must be positive")
 	}
 	for i, ci := range c {
-		if ci <= 0 {
+		if !(ci > 0) {
 			return nil, fmt.Errorf("linalg: capacitance[%d] = %g, must be positive", i, ci)
 		}
 	}
-	lhs := g.Clone()
-	for i := 0; i < n; i++ {
-		lhs.Add(i, i, c[i]/dt)
+	cdt := make([]float64, n)
+	for i := range cdt {
+		cdt[i] = c[i] / dt
 	}
-	lu, err := FactorLU(lhs)
+	f, err := FactorSparseCholeskyOrdered(g.addDiag(cdt), perm)
 	if err != nil {
 		return nil, fmt.Errorf("linalg: factor backward-Euler system: %w", err)
 	}
-	cc := make([]float64, n)
-	copy(cc, c)
-	return &BackwardEulerStepper{n: n, dt: dt, caps: cc, lu: lu, rhs: make([]float64, n)}, nil
+	permuted := cdt
+	if perm != nil {
+		permuted = make([]float64, n)
+		for k, p := range perm {
+			permuted[k] = cdt[p]
+		}
+	}
+	inv := make([]float64, n)
+	for i, d := range f.diag {
+		inv[i] = 1 / d
+	}
+	return &BackwardEuler{dt: dt, cdt: permuted, inv: inv, f: f}, nil
 }
 
 // Dt returns the fixed step size.
-func (s *BackwardEulerStepper) Dt() float64 { return s.dt }
+func (b *BackwardEuler) Dt() float64 { return b.dt }
 
-// Step advances the state t by one step under power injection p and
-// returns the new state. t and p are not modified.
-func (s *BackwardEulerStepper) Step(t, p []float64) ([]float64, error) {
-	next := make([]float64, s.n)
-	if err := s.StepInto(next, t, p); err != nil {
-		return nil, err
+// StepInto advances the elimination-ordered state x by one step under
+// the elimination-ordered power p, in place and without allocating.
+// The right-hand side C/dt·x + p is formed inside the forward sweep
+// (x[i] is still the old state when row i reads it), so no workspace
+// is needed and concurrent steps on distinct states never contend.
+// Pivots are applied as reciprocal multiplies, so a step matches a
+// dense Cholesky solve of the same system to rounding, not bitwise.
+func (b *BackwardEuler) StepInto(x, p []float64) error {
+	f := b.f
+	if len(x) != f.n || len(p) != f.n {
+		return fmt.Errorf("linalg: step lengths x=%d p=%d, want %d", len(x), len(p), f.n)
 	}
-	return next, nil
-}
-
-// StepInto advances the state t by one step under power injection p,
-// writing the new state into dst without allocating. dst may alias t
-// (the right-hand side is assembled in an internal workspace before dst
-// is written); the stepper is consequently not safe for concurrent use.
-func (s *BackwardEulerStepper) StepInto(dst, t, p []float64) error {
-	if len(t) != s.n || len(p) != s.n {
-		return fmt.Errorf("linalg: Step lengths t=%d p=%d, want %d", len(t), len(p), s.n)
-	}
-	if len(dst) != s.n {
-		return fmt.Errorf("linalg: StepInto dst length %d, want %d", len(dst), s.n)
-	}
-	for i := range s.rhs {
-		s.rhs[i] = s.caps[i]/s.dt*t[i] + p[i]
-	}
-	return s.lu.SolveInto(dst, s.rhs)
-}
-
-// RK4Step advances C·dT/dt = p − G·t by one explicit classical
-// Runge-Kutta step of size dt and returns the new state. Explicit
-// integration of a stiff RC network needs small dt; this exists to
-// cross-validate BackwardEulerStepper in tests.
-func RK4Step(g *Matrix, c, t, p []float64, dt float64) []float64 {
-	deriv := func(state []float64) []float64 {
-		gt := g.MulVec(state)
-		d := make([]float64, len(state))
-		for i := range d {
-			d[i] = (p[i] - gt[i]) / c[i]
+	cdt := b.cdt[:len(x)]
+	p = p[:len(x)]
+	inv := b.inv[:len(x)]
+	rowPtr, rowCols, rowVals := f.rowPtr[:len(x)+1], f.rowCols, f.rowVals
+	for i := range x {
+		s := cdt[i]*x[i] + p[i]
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		cols, vals := rowCols[lo:hi], rowVals[lo:hi]
+		vals = vals[:len(cols)]
+		for k, j := range cols {
+			s -= vals[k] * x[j]
 		}
-		return d
+		x[i] = s * inv[i]
 	}
-	k1 := deriv(t)
-	k2 := deriv(addScaled(t, dt/2, k1))
-	k3 := deriv(addScaled(t, dt/2, k2))
-	k4 := deriv(addScaled(t, dt, k3))
-	out := make([]float64, len(t))
-	for i := range out {
-		out[i] = t[i] + dt/6*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
+	colPtr, colRows, colVals := f.colPtr[:len(x)+1], f.colRows, f.colVals
+	for i := len(x) - 1; i >= 0; i-- {
+		s := x[i]
+		lo, hi := colPtr[i], colPtr[i+1]
+		rows, vals := colRows[lo:hi], colVals[lo:hi]
+		vals = vals[:len(rows)]
+		for k, r := range rows {
+			s -= vals[k] * x[r]
+		}
+		x[i] = s * inv[i]
 	}
-	return out
+	return nil
 }
 
-func addScaled(base []float64, s float64, v []float64) []float64 {
-	out := make([]float64, len(base))
-	for i := range out {
-		out[i] = base[i] + s*v[i]
+// StepManyInto advances m states at once: x and p hold them
+// interleaved node-major in elimination order (x[k*m+r] is position k
+// of state r). Each state sees exactly the operations StepInto applies,
+// in the same order, so the results are bitwise those of m separate
+// steps; sweeping the factor once for all m states amortizes its index
+// traffic and leaves contiguous inner loops.
+func (b *BackwardEuler) StepManyInto(x, p []float64, m int) error {
+	f := b.f
+	if m <= 0 || len(x) != f.n*m || len(p) != f.n*m {
+		return fmt.Errorf("linalg: step lengths x=%d p=%d, want %d×%d", len(x), len(p), f.n, m)
 	}
-	return out
+	for i := 0; i < f.n; i++ {
+		xi, pi := x[i*m:(i+1)*m], p[i*m:(i+1)*m]
+		pi = pi[:len(xi)]
+		for r := range xi {
+			xi[r] = b.cdt[i]*xi[r] + pi[r]
+		}
+		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
+			v, j := f.rowVals[k], int(f.rowCols[k])
+			xj := x[j*m : (j+1)*m]
+			xj = xj[:len(xi)]
+			for r := range xi {
+				xi[r] -= v * xj[r]
+			}
+		}
+		for r := range xi {
+			xi[r] *= b.inv[i]
+		}
+	}
+	for i := f.n - 1; i >= 0; i-- {
+		xi := x[i*m : (i+1)*m]
+		for k := f.colPtr[i]; k < f.colPtr[i+1]; k++ {
+			v, j := f.colVals[k], int(f.colRows[k])
+			xj := x[j*m : (j+1)*m]
+			xj = xj[:len(xi)]
+			for r := range xi {
+				xi[r] -= v * xj[r]
+			}
+		}
+		for r := range xi {
+			xi[r] *= b.inv[i]
+		}
+	}
+	return nil
 }

@@ -134,18 +134,6 @@ func TestCholeskyRHSLength(t *testing.T) {
 	}
 }
 
-func TestSolveSPDFallsBackToLU(t *testing.T) {
-	// Not SPD (asymmetric) but solvable: SolveSPD must still succeed.
-	a := NewMatrixFrom(2, 2, []float64{2, 1, 0, 3})
-	x, err := SolveSPD(a, []float64{5, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecAlmostEq(x, []float64{1.5, 2}, 1e-12) {
-		t.Errorf("x = %v, want [1.5 2]", x)
-	}
-}
-
 func TestSolveTridiag(t *testing.T) {
 	// System: [2 1 0; 1 2 1; 0 1 2] x = [4 8 8] → x = [1 2 3]
 	x, err := SolveTridiag(
@@ -254,7 +242,11 @@ func TestCholeskyMatchesLUProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		xc, err1 := SolveSPD(a, b)
+		c, err1 := FactorCholesky(a)
+		if err1 != nil {
+			return false
+		}
+		xc, err1 := c.Solve(b)
 		xl, err2 := SolveLU(a, b)
 		if err1 != nil || err2 != nil {
 			return false

@@ -61,6 +61,21 @@ func (a *CSR) MulVecInto(y, x []float64) {
 	}
 }
 
+// addDiag returns a + diag(d) as a new CSR. The builder sums each
+// diagonal in insertion order, a[i,i] then d[i], exactly as
+// Matrix.Add(i, i, d[i]) would, so the result's Dense() image is
+// bitwise a.Dense() + diag(d).
+func (a *CSR) addDiag(d []float64) *CSR {
+	b := NewSparseBuilder(a.n)
+	for i := 0; i < a.n; i++ {
+		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+			b.Add(i, a.colIdx[k], a.vals[k])
+		}
+		b.Add(i, i, d[i])
+	}
+	return b.Build()
+}
+
 // Dense expands the CSR matrix to a dense Matrix. Because the builder
 // accumulates duplicate coordinates in insertion order, the dense image
 // is bitwise identical to assembling the same Add sequence directly

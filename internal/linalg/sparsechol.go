@@ -3,16 +3,16 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 )
 
 // cholPivotRelTol is the shared relative singularity threshold of the
-// Cholesky factorizations (dense and sparse), mirroring luPivotRelTol:
-// a pivot this far below the matrix's largest element means the
-// conductance network is singular to working precision (e.g. a block
-// thermally disconnected from the sink), and deserves ErrSingular
-// rather than a NaN-laden factor.
+// Cholesky factorizations (dense and sparse): a pivot this far below
+// the matrix's largest element means the conductance network is
+// singular to working precision (e.g. a block thermally disconnected
+// from the sink), and deserves ErrSingular rather than a NaN-laden
+// factor.
 const cholPivotRelTol = 1e-12
 
 // SparseCholesky is the factorization P·A·Pᵀ = L·Lᵀ of a symmetric
@@ -53,7 +53,7 @@ func FactorSparseCholesky(a *CSR) (*SparseCholesky, error) {
 // the same loose tolerance as the dense path) or a pivot is
 // non-positive, and ErrSingular when a pivot falls below
 // cholPivotRelTol times the matrix's max-abs element — the same
-// near-singular contract as FactorLU.
+// near-singular contract as FactorCholesky.
 func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 	n := a.n
 	inv, err := invertPermutation(n, perm)
@@ -252,52 +252,69 @@ func (f *SparseCholesky) putScratch(z []float64) {
 // dense convection rows — the heat-sink and ring nodes every block
 // couples to — to the end of the elimination, which is exactly where
 // their fill is harmless.
+//
+// The elimination graph is held as one adjacency bitset per node:
+// eliminating a node ORs its neighbor set into each neighbor's row
+// (the fill clique) and recounts degrees with popcounts, so the work is
+// word-parallel and the allocations are a handful whatever the fill.
 func MinDegreeOrdering(a *CSR) []int {
 	n := a.n
-	adj := make([]map[int32]struct{}, n)
-	for i := range adj {
-		adj[i] = make(map[int32]struct{})
-	}
+	words := (n + 63) / 64
+	adj := make([]uint64, n*words)
+	row := func(v int) []uint64 { return adj[v*words : (v+1)*words] }
 	for i := 0; i < n; i++ {
 		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
 			if j := a.colIdx[k]; j != i && a.vals[k] != 0 {
-				adj[i][int32(j)] = struct{}{}
-				adj[j][int32(i)] = struct{}{}
+				adj[i*words+j/64] |= 1 << (j % 64)
+				adj[j*words+i/64] |= 1 << (i % 64)
 			}
 		}
 	}
+	deg := make([]int, n)
+	for v := range deg {
+		deg[v] = popcount(row(v))
+	}
 	perm := make([]int, 0, n)
 	done := make([]bool, n)
-	nbrs := make([]int, 0, n)
+	clique := make([]uint64, words)
 	for len(perm) < n {
 		best, bestDeg := -1, n+1
 		for v := 0; v < n; v++ {
-			if !done[v] && len(adj[v]) < bestDeg {
-				best, bestDeg = v, len(adj[v])
+			if !done[v] && deg[v] < bestDeg {
+				best, bestDeg = v, deg[v]
 			}
 		}
-		// Eliminate best: its neighbors become a clique. The map
-		// iteration only fills nbrs, which is sorted before use, so
-		// iteration order cannot reach the output.
-		nbrs = nbrs[:0]
-		for u := range adj[best] {
-			nbrs = append(nbrs, int(u))
-		}
-		sort.Ints(nbrs)
-		for _, u := range nbrs {
-			delete(adj[u], int32(best))
-		}
-		for x := 0; x < len(nbrs); x++ {
-			for y := x + 1; y < len(nbrs); y++ {
-				adj[nbrs[x]][int32(nbrs[y])] = struct{}{}
-				adj[nbrs[y]][int32(nbrs[x])] = struct{}{}
+		// Eliminate best: its neighbors become a clique, and best
+		// leaves every neighbor's row.
+		rb := row(best)
+		copy(clique, rb)
+		for w, word := range clique {
+			for ; word != 0; word &= word - 1 {
+				u := w*64 + bits.TrailingZeros64(word)
+				ru := row(u)
+				for x := range ru {
+					ru[x] |= clique[x]
+				}
+				ru[u/64] &^= 1 << (u % 64)
+				ru[best/64] &^= 1 << (best % 64)
+				deg[u] = popcount(ru)
 			}
 		}
-		adj[best] = nil
+		for x := range rb {
+			rb[x] = 0
+		}
 		done[best] = true
 		perm = append(perm, best)
 	}
 	return perm
+}
+
+func popcount(words []uint64) int {
+	c := 0
+	for _, w := range words {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 // invertPermutation validates perm and returns its inverse

@@ -35,6 +35,7 @@ import (
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/sim"
+	"thermalsched/internal/taskgraph"
 )
 
 // Config parameterizes one closed-loop co-simulation.
@@ -68,6 +69,12 @@ type Config struct {
 	// controller that throttles the die to a standstill. Zero derives a
 	// generous default from the static makespan.
 	MaxSteps int
+	// Forecast is the rise forecaster a proactive supervisor's
+	// admission queries consult; it must come from NewForecaster on the
+	// same schedule, model and step. It is read-only, so Monte-Carlo
+	// replicas of one request share one. Nil builds one for this run
+	// when the supervisor is proactive.
+	Forecast *coloop.RiseForecaster
 }
 
 // Validate reports the first invalid configuration field.
@@ -120,6 +127,24 @@ type Result struct {
 	DeadlineMet bool
 }
 
+// NewForecaster builds the duration-aware rise forecaster for a
+// closed-loop run of s on model under cfg: every PE block's unit-step
+// self-response at the co-simulation step, out to the schedule's
+// longest task. It does not depend on the replica seed.
+func NewForecaster(s *sched.Schedule, model *hotspot.Model, cfg Config) (*coloop.RiseForecaster, error) {
+	peBlock, err := coloop.PEBlocks(model, s.Arch.PENames())
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	var maxDur float64
+	for _, a := range s.Assignments {
+		if d := a.Finish - a.Start; d > maxDur {
+			maxDur = d
+		}
+	}
+	return coloop.NewRiseForecaster(model, peBlock, cfg.DT*cfg.TimeScale, maxDur*cfg.TimeScale)
+}
+
 // completion tolerance: a task is done when its remaining work falls to
 // a rounding error of its realized duration.
 const workEps = 1e-9
@@ -142,11 +167,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 
 	// PE → thermal block mapping, by name.
 	nPE := len(s.Arch.PEs)
-	peNames := make([]string, nPE)
-	for i, pe := range s.Arch.PEs {
-		peNames[i] = pe.Name
-	}
-	peBlock, err := coloop.PEBlocks(model, peNames)
+	peBlock, err := coloop.PEBlocks(model, s.Arch.PENames())
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
@@ -191,21 +212,19 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 	var forecast *coloop.RiseForecaster
 	var holdUntil []float64
 	if cfg.Supervisor != nil && cfg.Supervisor.Proactive() {
-		var maxDur float64
-		for _, a := range s.Assignments {
-			if d := a.Finish - a.Start; d > maxDur {
-				maxDur = d
+		if forecast = cfg.Forecast; forecast == nil {
+			if forecast, err = NewForecaster(s, model, cfg); err != nil {
+				return nil, err
 			}
-		}
-		forecast, err = coloop.NewRiseForecaster(model, peBlock,
-			cfg.DT*cfg.TimeScale, maxDur*cfg.TimeScale)
-		if err != nil {
-			return nil, err
 		}
 		holdUntil = make([]float64, nPE)
 	}
 
 	n := s.Graph.NumTasks()
+	preds := make([][]taskgraph.Edge, n) // materialized once; readyAt runs per dispatch probe
+	for id := range preds {
+		preds[id] = s.Graph.Predecessors(id)
+	}
 	queues := sim.DispatchQueues(s)
 	next := make([]int, nPE)        // per-PE queue cursor
 	running := make([]int, nPE)     // task executing on the PE, or -1
@@ -231,7 +250,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 	// sim.Execute dispatches by.
 	readyAt := func(id, pe int) (float64, bool) {
 		t := 0.0
-		for _, e := range s.Graph.Predecessors(id) {
+		for _, e := range preds[id] {
 			if !done[e.From] {
 				return 0, false
 			}

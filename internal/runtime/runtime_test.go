@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"thermalsched/internal/coloop"
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/dtm"
 	"thermalsched/internal/sched"
@@ -244,6 +245,50 @@ func TestSupervisorResetHygieneAcrossReplicas(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A forecaster built once and shared read-only across replicas must
+// give every replica exactly the run it gets building its own.
+func TestSharedForecasterMatchesPerRun(t *testing.T) {
+	res := platformRun(t, "Bm1", sched.ThermalAware)
+	run := func(seed int64, forecast *coloop.RiseForecaster) *Result {
+		t.Helper()
+		sup, err := dtm.NewAdmitController(dtm.DefaultLadder, 0.7, 0.4, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := baseConfig()
+		cfg.Supervisor = sup
+		cfg.WarmStart = true
+		cfg.Exec = sim.Options{MinFactor: 0.6, Seed: seed}
+		cfg.Forecast = forecast
+		r, err := Simulate(context.Background(), res.Schedule, res.Model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	shared, err := NewForecaster(res.Schedule, res.Model, baseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	denials := 0
+	for seed := int64(0); seed < 3; seed++ {
+		want, got := run(seed, nil), run(seed, shared)
+		denials += want.AdmissionDenials
+		if got.Makespan != want.Makespan || got.PeakTempC != want.PeakTempC ||
+			got.AdmissionDenials != want.AdmissionDenials || got.Steps != want.Steps {
+			t.Errorf("seed %d: shared forecaster run %+v, own forecaster %+v", seed, got, want)
+		}
+		for id := range want.Records {
+			if got.Records[id] != want.Records[id] {
+				t.Errorf("seed %d: record %d differs under the shared forecaster", seed, id)
+			}
+		}
+	}
+	if denials == 0 {
+		t.Error("no admission denials: the forecaster was never consulted against a bound")
 	}
 }
 

@@ -70,6 +70,12 @@ type Input struct {
 	// applied to running work. A proactive supervisor is required by
 	// PolicyAdmit and PolicyZigzag; nil disables supervision.
 	Supervisor dtm.Supervisor
+	// Forecast is the rise forecaster a proactive supervisor's
+	// admission queries consult; it must come from NewForecaster on
+	// the same input and config. It is read-only, so Monte-Carlo
+	// replicas of one request share one. Nil builds one for this run
+	// when the supervisor is proactive.
+	Forecast *coloop.RiseForecaster
 }
 
 // Config parameterizes one dispatch run.
@@ -95,6 +101,10 @@ type Config struct {
 	// from the trace length and total work.
 	MaxSteps int
 }
+
+// coolTieC is the sensed-temperature difference (°C) below which the
+// coolest and zigzag policies treat two PEs as equally cool.
+const coolTieC = 1e-9
 
 // placeSeedSalt decorrelates the random policy's PE draws from the
 // duration-factor stream, so both are independent functions of Seed.
@@ -165,6 +175,26 @@ type Result struct {
 	Price        float64
 }
 
+// NewForecaster builds the duration-aware rise forecaster for a run of
+// in under cfg: every PE block's unit-step self-response at the
+// co-simulation step, out to the longest WCET any capable PE has for
+// any job. It does not depend on the seed.
+func NewForecaster(in Input, cfg Config) (*coloop.RiseForecaster, error) {
+	peBlock, err := coloop.PEBlocks(in.Model, in.Arch.PENames())
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
+	var maxWCET float64
+	for _, job := range in.Jobs {
+		for _, pe := range in.Arch.PEs {
+			if e, ok := in.Lib.Lookup(pe.Type, job.Type); ok && e.WCET > maxWCET {
+				maxWCET = e.WCET
+			}
+		}
+	}
+	return coloop.NewRiseForecaster(in.Model, peBlock, cfg.DT*cfg.TimeScale, maxWCET*cfg.TimeScale)
+}
+
 // Run dispatches the arrival trace online under the configured policy.
 // Cancelling ctx aborts the stepped loop promptly.
 func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
@@ -230,11 +260,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	polrng := rand.New(rand.NewSource(cfg.Seed ^ placeSeedSalt))
 
 	// PE → thermal block mapping, by name.
-	peNames := make([]string, nPE)
-	for i, pe := range in.Arch.PEs {
-		peNames[i] = pe.Name
-	}
-	peBlock, err := coloop.PEBlocks(in.Model, peNames)
+	peBlock, err := coloop.PEBlocks(in.Model, in.Arch.PENames())
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
@@ -268,17 +294,9 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	}
 	temps := core.Temps // last sensed temperatures (ambient pre-start)
 
-	var forecast *coloop.RiseForecaster // duration-aware admission forecast
-	if proactive {
-		var maxWCET float64
-		for _, w := range wcet {
-			if w > maxWCET {
-				maxWCET = w
-			}
-		}
-		forecast, err = coloop.NewRiseForecaster(in.Model, peBlock,
-			cfg.DT*cfg.TimeScale, maxWCET*cfg.TimeScale)
-		if err != nil {
+	forecast := in.Forecast // duration-aware admission forecast
+	if proactive && forecast == nil {
+		if forecast, err = NewForecaster(in, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -338,13 +356,19 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 		case PolicyRandom:
 			return idle[polrng.Intn(len(idle))], true, nil
 		case PolicyCoolest, PolicyZigzag:
-			best := idle[0]
-			for _, pe := range idle[1:] {
-				if temps[peBlock[pe]] < temps[peBlock[best]] {
-					best = pe
+			// The lowest-index PE sensed within coolTieC of the
+			// coolest: symmetric blocks read equal in exact arithmetic,
+			// and an ulp of solver rounding must not pick between them.
+			coolest := math.Inf(1)
+			for _, pe := range idle {
+				coolest = math.Min(coolest, temps[peBlock[pe]])
+			}
+			for _, pe := range idle {
+				if temps[peBlock[pe]] <= coolest+coolTieC {
+					return pe, true, nil
 				}
 			}
-			return best, true, nil
+			return 0, false, fmt.Errorf("stream: no idle PE at the coolest temperature %g", coolest)
 		case PolicyGreedy, PolicyAdmit:
 			// Predicted steady impact of adding the job's power on top
 			// of the currently running draw — O(PEs) per candidate via

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"sync"
 
+	"thermalsched/internal/coloop"
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/dtm"
 	"thermalsched/internal/scenario"
@@ -321,6 +322,21 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 		jobs[i] = stream.Job{ID: j.ID, Type: j.Type, Arrival: j.Arrival, Deadline: j.Deadline}
 	}
 
+	cfgOf := func(i int) stream.Config {
+		return stream.Config{
+			Policy:    policy,
+			DT:        spec.DT,
+			TimeScale: spec.TimeScale,
+			MinFactor: spec.MinFactor,
+			Seed:      spec.SimSeed + int64(i),
+		}
+	}
+	// The rise forecaster does not depend on the replica seed: proactive
+	// replicas share one, built by whichever replica needs it first and
+	// dropped with the request.
+	forecast := sync.OnceValues(func() (*coloop.RiseForecaster, error) {
+		return stream.NewForecaster(stream.Input{Jobs: jobs, Lib: wl.Lib, Arch: arch, Model: model}, cfgOf(0))
+	})
 	results := make([]*stream.Result, spec.Replicas)
 	errs := make([]error, spec.Replicas)
 	runReplica := func(i int) {
@@ -337,20 +353,20 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 			errs[i] = err
 			return
 		}
-		results[i], errs[i] = stream.Run(ctx, stream.Input{
+		in := stream.Input{
 			Jobs:       jobs,
 			Lib:        wl.Lib,
 			Arch:       arch,
 			Model:      model,
 			Oracle:     oracle,
 			Supervisor: sup,
-		}, stream.Config{
-			Policy:    policy,
-			DT:        spec.DT,
-			TimeScale: spec.TimeScale,
-			MinFactor: spec.MinFactor,
-			Seed:      spec.SimSeed + int64(i),
-		})
+		}
+		if sup != nil && sup.Proactive() {
+			if in.Forecast, errs[i] = forecast(); errs[i] != nil {
+				return
+			}
+		}
+		results[i], errs[i] = stream.Run(ctx, in, cfgOf(i))
 	}
 	// Replica fan-out mirrors runSimulateFlow: extra parallelism comes
 	// from the engine-wide token pool so concurrent RunBatch workers
