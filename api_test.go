@@ -1,6 +1,7 @@
 package thermalsched
 
 import (
+	"context"
 	"testing"
 )
 
@@ -8,15 +9,11 @@ import (
 // examples and downstream users would.
 
 func TestFacadeQuickstartPath(t *testing.T) {
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := Benchmark("Bm1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPlatform(g, lib, ThermalAware)
+	res, err := testEngine(t).Platform(context.Background(), g, WithPolicy(ThermalAware))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +105,12 @@ func TestFacadeCoSynthesis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("co-synthesis skipped in -short mode")
 	}
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := Benchmark("Bm1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCoSynthesisConfig(g, lib, CoSynthConfig{
-		Policy: MinTaskEnergy, FloorplanGenerations: 5,
-	})
+	res, err := testEngine(t).CoSynthesize(context.Background(), g,
+		WithPolicy(MinTaskEnergy), WithFloorplanGenerations(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +120,11 @@ func TestFacadeCoSynthesis(t *testing.T) {
 }
 
 func TestFacadeSimAndDTM(t *testing.T) {
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := Benchmark("Bm1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := RunPlatform(g, lib, ThermalAware)
+	run, err := testEngine(t).Platform(context.Background(), g, WithPolicy(ThermalAware))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,23 +143,47 @@ func TestFacadeSimAndDTM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	toggle, err := NewToggleDTM(88, 3, 0.4)
+	toggle, err := NewToggleDTM(80, 3, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDTM(run.Model, toggle, samples, 0.1)
+	pi, err := NewPIDTM(80, 0.05, 0.002, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Steps != len(samples) {
-		t.Errorf("DTM ran %d steps for %d samples", res.Steps, len(samples))
-	}
-	pi, err := NewPIDTM(85, 0.05, 0.002, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunDTM(run.Model, pi, samples, 0.1); err != nil {
-		t.Fatal(err)
+	// Drive the realized power trace through the public transient model
+	// under each reactive controller, adapted to the supervisor contract:
+	// scales stay in [0, 1] and throttling only ever removes power.
+	n := run.Model.NumBlocks()
+	for _, ctrl := range []DTMController{toggle, pi} {
+		sup, err := SuperviseDTM(ctrl, Ladder{FairC: 72, SeriousC: 80, CriticalC: 88})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := run.Model.NewTransient(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale, scaled, temps := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range scale {
+			scale[i] = 1
+		}
+		for _, p := range samples {
+			for i, w := range p {
+				scaled[i] = w * scale[i]
+			}
+			if err := tr.StepVecInto(temps, scaled); err != nil {
+				t.Fatal(err)
+			}
+			if err := sup.ScaleInto(scale, temps); err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range scale {
+				if s < 0 || s > 1 {
+					t.Fatalf("%T scale[%d] = %v out of [0, 1]", ctrl, i, s)
+				}
+			}
+		}
 	}
 }
 
@@ -179,11 +191,7 @@ func TestFacadeSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep skipped in -short mode")
 	}
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSweep(lib, 4, 3)
+	res, err := testEngine(t).Sweep(context.Background(), 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +218,7 @@ func TestFacadeConditionalGraph(t *testing.T) {
 	if len(probs) != 12 {
 		t.Errorf("probabilities length %d", len(probs))
 	}
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := RunPlatform(g, lib, MinTaskEnergy)
+	run, err := testEngine(t).Platform(context.Background(), g, WithPolicy(MinTaskEnergy))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,12 +47,12 @@ type Engine struct {
 	// scenarios memoizes generated synthetic scenarios by fingerprint,
 	// so a campaign's policies share one generation per scenario;
 	// streams does the same for generated online workloads.
-	scenarios *fpCache[*Scenario]
-	streams   *fpCache[*StreamWorkload]
+	scenarios *search.LRU[*Scenario]
+	streams   *search.LRU[*StreamWorkload]
 	benches   map[string]*Graph
 	ordered   []string // benchmark names in paper order
-	// simTokens is the engine-wide parallelism pool for simulate-flow
-	// replica fan-out; see runSimulateFlow.
+	// simTokens is the engine-wide parallelism pool for the simulate
+	// and stream flows' replica fan-out; see fanReplicas.
 	simTokens chan struct{}
 	// search is the engine-wide parallel search backbone
 	// (WithSearchParallelism): one token pool shared by every
@@ -168,8 +168,8 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		workers:   o.workers,
 		models:    search.NewLRU[*hotspot.Model](o.cacheSize),
 		newModel:  hotspot.NewModel,
-		scenarios: newFPCache[*Scenario](DefaultScenarioCacheSize),
-		streams:   newFPCache[*StreamWorkload](DefaultScenarioCacheSize),
+		scenarios: search.NewLRU[*Scenario](DefaultScenarioCacheSize),
+		streams:   search.NewLRU[*StreamWorkload](DefaultScenarioCacheSize),
 		benches:   make(map[string]*Graph),
 		simTokens: make(chan struct{}, o.workers),
 		search:    search.NewPool(o.searchPar),
@@ -503,63 +503,6 @@ func (e *Engine) runSweepFlow(ctx context.Context, req *Request) (*Response, err
 	return &Response{Flow: FlowSweep, Sweep: res}, nil
 }
 
-func (e *Engine) runDTMFlow(ctx context.Context, req *Request) (*Response, error) {
-	in, err := e.resolveInput(req)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := req.platformConfig()
-	if err != nil {
-		return nil, err
-	}
-	cfg.HotSpot = e.thermalFor(req)
-	cfg.Platform = in.platform
-	res, err := e.platform(ctx, in.graph, in.lib, cfg)
-	if err != nil {
-		return nil, err
-	}
-	spec := req.DTM.withDefaults()
-	var ctrl DTMController
-	switch spec.Controller {
-	case "toggle":
-		ctrl, err = dtm.NewToggleController(spec.TriggerC, spec.Hysteresis, spec.Throttle)
-	case "pi":
-		ctrl, err = dtm.NewPIController(spec.SetpointC, spec.Kp, spec.Ki, spec.MinScale)
-	default: // unreachable after Validate
-		err = fmt.Errorf("thermalsched: unknown DTM controller %q", spec.Controller)
-	}
-	if err != nil {
-		return nil, err
-	}
-	exec, err := sim.Execute(res.Schedule, sim.Options{MinFactor: spec.MinFactor, Seed: spec.SimSeed})
-	if err != nil {
-		return nil, err
-	}
-	trace, err := exec.Trace(spec.SampleDT)
-	if err != nil {
-		return nil, err
-	}
-	pass, err := trace.Reorder(res.Model.BlockNames())
-	if err != nil {
-		return nil, err
-	}
-	samples := make([][]float64, 0, len(pass)*spec.Passes)
-	for i := 0; i < spec.Passes; i++ {
-		samples = append(samples, pass...)
-	}
-	dtmRes, err := dtm.Run(res.Model, ctrl, samples, spec.SampleDT*spec.TimeScale)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := flowResponse(FlowDTM, cfg.Policy, res, req.IncludeGantt, false)
-	if err != nil {
-		return nil, err
-	}
-	resp.DTM = dtmReport(spec.Controller, dtmRes)
-	in.stamp(resp)
-	return resp, nil
-}
-
 // simSupervisor materializes a fresh thermal supervisor for the spec.
 // Each replica gets its own instance: supervisors carry per-run state
 // (throttle latches, PI integrals, admission holds, cooling gaps) and
@@ -621,12 +564,10 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 		return rt.NewForecaster(res.Schedule, res.Model, rt.Config{DT: spec.DT, TimeScale: spec.TimeScale})
 	})
 	results := make([]*rt.Result, spec.Replicas)
-	errs := make([]error, spec.Replicas)
-	runReplica := func(i int) {
+	err = e.fanReplicas(ctx, req.Parallelism, spec.Replicas, func(i int) error {
 		sup, err := simSupervisor(spec)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		rcfg := rt.Config{
 			DT:         spec.DT,
@@ -640,51 +581,15 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 			},
 		}
 		if sup != nil && sup.Proactive() {
-			if rcfg.Forecast, errs[i] = forecast(); errs[i] != nil {
-				return
+			if rcfg.Forecast, err = forecast(); err != nil {
+				return err
 			}
 		}
-		results[i], errs[i] = rt.Simulate(ctx, res.Schedule, res.Model, rcfg)
-	}
-	// Replica fan-out draws extra parallelism from the engine-wide token
-	// pool (shared with every concurrently running simulate flow, sized
-	// to the worker count): when a token is free the replica runs on its
-	// own goroutine, otherwise it runs inline here. This keeps the total
-	// number of concurrent co-simulations bounded by the pool size even
-	// when RunBatch workers each hit this path at once — a per-request
-	// pool would multiply up to workers² goroutines. A request-level
-	// Parallelism narrows this run to its own pool of P−1 tokens plus
-	// the inline slot (P=1 is fully serial); either way results are
-	// byte-identical — only wall-clock changes.
-	tokens := e.simTokens
-	if req.Parallelism > 0 {
-		tokens = make(chan struct{}, req.Parallelism-1)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < spec.Replicas; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case tokens <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-tokens }()
-				runReplica(i)
-			}(i)
-		default:
-			runReplica(i)
-		}
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		results[i], err = rt.Simulate(ctx, res.Schedule, res.Model, rcfg)
+		return err
+	})
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	makespans := make([]float64, spec.Replicas)
@@ -723,6 +628,55 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 	resp.Simulate = report
 	in.stamp(resp)
 	return resp, nil
+}
+
+// fanReplicas runs run(0), …, run(n-1) — the Monte-Carlo replicas of
+// the simulate and stream flows — drawing extra parallelism from the
+// engine-wide token pool (shared with every concurrently running
+// replica fan-out, sized to the worker count): when a token is free the
+// replica runs on its own goroutine, otherwise it runs inline here.
+// This keeps the total number of concurrent co-simulations bounded by
+// the pool size even when RunBatch workers each hit this path at once —
+// a per-request pool would multiply up to workers² goroutines. A
+// request-level parallelism narrows the run to its own pool of P−1
+// tokens plus the inline slot (P=1 is fully serial). The context is
+// checked before each replica starts; cancellation wins over replica
+// errors, and among replica errors the lowest index wins, so results
+// and errors are byte-identical at every parallelism level — only
+// wall-clock changes.
+func (e *Engine) fanReplicas(ctx context.Context, parallelism, n int, run func(i int) error) error {
+	tokens := e.simTokens
+	if parallelism > 0 {
+		tokens = make(chan struct{}, parallelism-1)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		if ctx.Err() != nil {
+			break
+		}
+		select {
+		case tokens <- struct{}{}:
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				defer func() { <-tokens }()
+				errs[i] = run(i)
+			}(i)
+		default:
+			errs[i] = run(i)
+		}
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // modelProvider returns the cosynth-layer hook backed by the engine's
@@ -791,22 +745,4 @@ func modelKey(fp *floorplan.Floorplan, cfg hotspot.Config) string {
 		fmt.Fprintf(&b, "%s:%g,%g,%g,%g;", blk.Name, blk.Rect.X, blk.Rect.Y, blk.Rect.W, blk.Rect.H)
 	}
 	return b.String()
-}
-
-// Default engine backing the deprecated package-level functions. It is
-// built lazily so programs that construct their own Engine never pay
-// for it.
-var (
-	defaultEngineOnce sync.Once
-	defaultEngineVal  *Engine
-	defaultEngineErr  error
-)
-
-// DefaultEngine returns the lazily-built shared Engine the deprecated
-// package-level functions run on.
-func DefaultEngine() (*Engine, error) {
-	defaultEngineOnce.Do(func() {
-		defaultEngineVal, defaultEngineErr = NewEngine()
-	})
-	return defaultEngineVal, defaultEngineErr
 }

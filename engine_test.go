@@ -12,10 +12,7 @@ import (
 	"thermalsched/internal/hotspot"
 )
 
-// Golden equivalence: the deprecated free functions and the new Engine
-// must agree bit-for-bit, so old call sites migrate without any metric
-// drift.
-
+// testEngine builds a default Engine for one test.
 func testEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := NewEngine()
@@ -26,99 +23,6 @@ func testEngine(t *testing.T) *Engine {
 }
 
 var benchmarkNames = []string{"Bm1", "Bm2", "Bm3", "Bm4"}
-
-func TestEngineMatchesDeprecatedRunPlatform(t *testing.T) {
-	e := testEngine(t)
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range benchmarkNames {
-		for _, policy := range Policies() {
-			g, err := Benchmark(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old, err := RunPlatform(g, lib, policy)
-			if err != nil {
-				t.Fatalf("%s/%s wrapper: %v", name, policy, err)
-			}
-			resp, err := e.Run(context.Background(), NewRequest(
-				FlowPlatform, WithBenchmark(name), WithPolicy(policy),
-			))
-			if err != nil {
-				t.Fatalf("%s/%s engine: %v", name, policy, err)
-			}
-			if *resp.Metrics != old.Metrics {
-				t.Errorf("%s/%s metrics diverge:\n  wrapper %+v\n  engine  %+v",
-					name, policy, old.Metrics, *resp.Metrics)
-			}
-		}
-	}
-}
-
-func TestEngineMatchesDeprecatedRunCoSynthesis(t *testing.T) {
-	if testing.Short() {
-		t.Skip("co-synthesis equivalence skipped in -short mode")
-	}
-	e := testEngine(t)
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reduced GA effort keeps the 4-benchmark sweep fast; equivalence
-	// must hold at any effort since both sides receive the same config.
-	const gens = 5
-	for _, name := range benchmarkNames {
-		g, err := Benchmark(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		old, err := RunCoSynthesisConfig(g, lib, CoSynthConfig{
-			Policy: MinTaskEnergy, FloorplanGenerations: gens,
-		})
-		if err != nil {
-			t.Fatalf("%s wrapper: %v", name, err)
-		}
-		resp, err := e.Run(context.Background(), NewRequest(
-			FlowCoSynthesis,
-			WithBenchmark(name),
-			WithPolicy(MinTaskEnergy),
-			WithFloorplanGenerations(gens),
-		))
-		if err != nil {
-			t.Fatalf("%s engine: %v", name, err)
-		}
-		if *resp.Metrics != old.Metrics {
-			t.Errorf("%s metrics diverge:\n  wrapper %+v\n  engine  %+v",
-				name, old.Metrics, *resp.Metrics)
-		}
-	}
-}
-
-func TestEngineMatchesDeprecatedRunSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep equivalence skipped in -short mode")
-	}
-	e := testEngine(t)
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := RunSweep(lib, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := e.Run(context.Background(), NewRequest(
-		FlowSweep, WithSweepCount(3), WithSeed(7),
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, resp.Sweep) {
-		t.Errorf("sweep diverges:\n  wrapper %+v\n  engine  %+v", old, resp.Sweep)
-	}
-}
 
 // RunBatch over Bm1–Bm4 must return exactly the metrics of four
 // sequential Run calls, in order, while fanning out across workers.
@@ -239,28 +143,27 @@ func TestEngineRequestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// The open-loop dtm flow is retired; the closed-loop simulate flow is
+// the one DTM path. A request naming it is rejected up front with a
+// typed error on the flow field, not silently routed elsewhere.
 func TestEngineDTMFlow(t *testing.T) {
 	e := testEngine(t)
-	resp, err := e.Run(context.Background(), NewRequest(
-		FlowDTM,
-		WithBenchmark("Bm1"),
-		WithPolicy(ThermalAware),
-		WithDTM(DTMSpec{Controller: "toggle", TriggerC: 80, Passes: 2}),
-	))
-	if err != nil {
+	var req Request
+	if err := json.Unmarshal([]byte(`{"flow":"dtm","benchmark":"Bm1"}`), &req); err != nil {
 		t.Fatal(err)
 	}
-	if resp.DTM == nil {
-		t.Fatal("dtm flow returned no DTM report")
+	resp, err := e.Run(context.Background(), req)
+	if err == nil {
+		t.Fatalf("retired dtm flow accepted: %+v", resp)
 	}
-	if resp.DTM.Steps <= 0 {
-		t.Errorf("dtm ran %d steps", resp.DTM.Steps)
+	var fe *FieldError
+	if !errors.As(err, &fe) || fe.Field != "flow" {
+		t.Errorf("dtm request rejected with %v, want a FieldError on field \"flow\"", err)
 	}
-	if resp.DTM.PeakTempC <= DefaultThermalConfig().AmbientC {
-		t.Errorf("dtm peak %v not above ambient", resp.DTM.PeakTempC)
-	}
-	if resp.Metrics == nil || !resp.Metrics.Feasible {
-		t.Errorf("dtm flow lost the underlying schedule metrics: %+v", resp.Metrics)
+	for _, k := range FlowKinds() {
+		if k == "dtm" {
+			t.Error("FlowKinds still lists dtm")
+		}
 	}
 }
 
@@ -293,8 +196,7 @@ func TestEngineRequestValidation(t *testing.T) {
 		{Flow: FlowPlatform, Benchmark: "Bm1", Policy: "coldest"},   // unknown policy
 		{Flow: FlowSweep, Benchmark: "Bm1"},                         // sweep with input graph
 		{Flow: FlowPlatform, Benchmark: "Bm1", MaxPEs: -1},
-		{Flow: FlowPlatform, Benchmark: "Bm1", DTM: &DTMSpec{}}, // dtm knobs on platform
-		{Flow: FlowDTM, Benchmark: "Bm1", DTM: &DTMSpec{Controller: "bangbang"}},
+		{Flow: "dtm", Benchmark: "Bm1"}, // retired open-loop flow
 	}
 	for i, req := range bad {
 		if _, err := e.Run(context.Background(), req); err == nil {

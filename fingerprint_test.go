@@ -64,7 +64,6 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 			r.Scenario = &ScenarioSpec{Seed: 7, Graph: ScenarioGraphParams{Tasks: 30}}
 			return r
 		}(base),
-		"DTM":      func(r Request) Request { r.DTM = &DTMSpec{TriggerC: 90}; return r }(base),
 		"Simulate": func(r Request) Request { r.Simulate = &SimulateSpec{Replicas: 2}; return r }(base),
 		"Campaign": func(r Request) Request { r.Campaign = &CampaignSpec{Scenarios: 3}; return r }(base),
 	}
@@ -86,7 +85,7 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 }
 
 // The documented canonicalizations: nil Seed is seed 1; nil and
-// zero-valued DTM/Simulate specs are the calibrated defaults; campaign
+// zero-valued Simulate specs are the calibrated defaults; campaign
 // spec defaults are normalized; but a campaign's Simulate presence is
 // semantic and an explicit seed 0 is not seed 1.
 func TestRequestFingerprintNormalization(t *testing.T) {
@@ -98,13 +97,6 @@ func TestRequestFingerprintNormalization(t *testing.T) {
 	zero := NewRequest(FlowSweep, WithSeed(0))
 	if zero.Fingerprint() == a.Fingerprint() {
 		t.Error("explicit seed 0 collapsed into the nil-seed default")
-	}
-
-	dtmNil := NewRequest(FlowDTM, WithBenchmark("Bm1"))
-	dtmZero := NewRequest(FlowDTM, WithBenchmark("Bm1"), WithDTM(DTMSpec{}))
-	dtmDefault := NewRequest(FlowDTM, WithBenchmark("Bm1"), WithDTM(DTMSpec{TriggerC: 85}))
-	if dtmNil.Fingerprint() != dtmZero.Fingerprint() || dtmNil.Fingerprint() != dtmDefault.Fingerprint() {
-		t.Error("nil, zero and explicitly-default DTM specs must share a fingerprint")
 	}
 
 	simNil := NewRequest(FlowSimulate, WithBenchmark("Bm1"))
@@ -125,14 +117,61 @@ func TestRequestFingerprintNormalization(t *testing.T) {
 	}
 }
 
+// Fingerprints are the job tier's coalescing key and the journal's
+// dedup key, so they must not drift across releases: a journaled job
+// must keep coalescing with the same request submitted after an
+// upgrade. These digests were recorded before the open-loop dtm flow
+// was retired (its spec's segment is now a frozen literal); one request
+// per flow plus the seed-zero and closed-loop-campaign variants.
+func TestRequestFingerprintPins(t *testing.T) {
+	seed3 := int64(3)
+	pins := []struct {
+		name string
+		req  Request
+		want string
+	}{
+		{"platform", NewRequest(FlowPlatform, WithBenchmark("Bm1"), WithPolicy(ThermalAware)),
+			"0a13c26dd0eb81ce"},
+		{"cosynthesis", NewRequest(FlowCoSynthesis, WithBenchmark("Bm2"), WithPolicy(MinTaskEnergy),
+			WithSeed(seed3), WithFloorplanGenerations(5)),
+			"29ba8d9a7ccfe215"},
+		{"sweep", NewRequest(FlowSweep, WithSweepCount(3), WithSeed(7)),
+			"e35f173d0b76a879"},
+		{"simulate", NewRequest(FlowSimulate, WithBenchmark("Bm1"), WithSimulate(SimulateSpec{
+			Controller: "admit", MinFactor: 0.85, Replicas: 4, Seed: 1})),
+			"33b320a91b0f47b5"},
+		{"generate", NewRequest(FlowGenerate, WithScenario(ScenarioSpec{Seed: 7, Graph: ScenarioGraphParams{Tasks: 30}})),
+			"ab42a209b68e0c96"},
+		{"campaign", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{Scenarios: 4, Seed: 1})),
+			"dc354b20984a0f0b"},
+		{"stream", Request{Flow: FlowStream, Policy: StreamPolicyGreedy, Stream: &StreamSpec{Seed: 3, Replicas: 2}},
+			"ef6a74d5cfdb252f"},
+		{"campaign-simulate", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{Scenarios: 3, Seed: 2,
+			Simulate: &SimulateSpec{Controller: "toggle"}})),
+			"ec3ac9c0fde0a813"},
+		{"stream-seed0", Request{Flow: FlowStream, Policy: StreamPolicyFIFO, Stream: &StreamSpec{Seed: 0}},
+			"88552087cb5607c7"},
+		{"scenario-seed0", NewRequest(FlowPlatform, WithScenario(ScenarioSpec{Seed: 0})),
+			"cef1445219f950eb"},
+	}
+	for _, p := range pins {
+		if err := p.req.Validate(); err != nil {
+			t.Errorf("%s: pinned request is invalid: %v", p.name, err)
+		}
+		if got := p.req.Fingerprint(); got != p.want {
+			t.Errorf("%s: fingerprint %s, pinned %s", p.name, got, p.want)
+		}
+	}
+}
+
 // Field coverage of Fingerprint is enforced statically by the
 // thermalvet fpfields analyzer against the //thermalvet:serializes
 // registrations on the serializer (run `go run ./cmd/thermalvet .`).
 // This keeps one slim runtime pin on the top-level Request as
 // belt-and-braces for builds that skip vet.
 func TestRequestFingerprintCoversFields(t *testing.T) {
-	if n := reflect.TypeOf(Request{}).NumField(); n != 22 {
-		t.Errorf("Request now has %d fields (pinned 22); extend Request.Fingerprint's explicit serialization (fpfields enforces the rest)", n)
+	if n := reflect.TypeOf(Request{}).NumField(); n != 21 {
+		t.Errorf("Request now has %d fields (pinned 21); extend Request.Fingerprint's explicit serialization (fpfields enforces the rest)", n)
 	}
 }
 

@@ -108,13 +108,6 @@ func flowTable() []flowSpec {
 			validate: validateSweepFlow,
 		},
 		{
-			kind:     FlowDTM,
-			summary:  "open-loop dynamic-thermal-management transient study",
-			input:    flowInputOne,
-			run:      (*Engine).runDTMFlow,
-			validate: validateDTMFlow,
-		},
-		{
 			kind:        FlowSimulate,
 			summary:     "closed-loop DTM co-simulation with Monte-Carlo replicas",
 			input:       flowInputOne,
@@ -203,17 +196,6 @@ func validateGenerateFlow(r *Request) error {
 		return fieldErr("solver", "solver override on a %q request (it never builds a thermal model)", r.Flow)
 	}
 	return nil
-}
-
-func validateDTMFlow(r *Request) error {
-	if r.DTM == nil {
-		return nil
-	}
-	switch r.DTM.Controller {
-	case "", "toggle", "pi":
-		return nil
-	}
-	return fieldErr("dtm.controller", "unknown DTM controller %q (want toggle or pi)", r.DTM.Controller)
 }
 
 // simulateControllers is the FlowSimulate controller-kind value set, in

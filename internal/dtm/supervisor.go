@@ -23,8 +23,6 @@ const (
 	StateSerious
 	// StateCritical: above the critical threshold — hard throttling.
 	StateCritical
-	// NumThermalStates sizes per-state tallies.
-	NumThermalStates = int(StateCritical) + 1
 )
 
 // String names the state for reports and logs.

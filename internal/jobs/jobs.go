@@ -24,6 +24,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -261,9 +262,12 @@ func Open(eval Evaluator, cfg Config) (*Manager, error) {
 
 // replay restores one journal record into the store: the job is
 // retained in its terminal state and done results feed the coalescing
-// index so identical future requests skip evaluation.
+// index so identical future requests skip evaluation. Records of flows
+// the engine no longer runs (the retired open-loop dtm flow) are
+// skipped: their response payload no longer decodes, so they would
+// otherwise replay as done jobs with an empty result.
 func (m *Manager) replay(rec record) {
-	if rec.ID == "" || m.jobs[rec.ID] != nil {
+	if rec.ID == "" || m.jobs[rec.ID] != nil || !slices.Contains(thermalsched.FlowKinds(), rec.Flow) {
 		return
 	}
 	j := &job{

@@ -512,6 +512,38 @@ func TestJournalSkipsTornTail(t *testing.T) {
 	}
 }
 
+// A record of a retired flow, written by an earlier release, must not
+// replay as a done job: its payload no longer decodes, so serving it
+// would hand back an empty result. This hand-written line is the shape
+// the open-loop dtm flow journaled; the platform record after it still
+// replays.
+func TestJournalSkipsRetiredFlow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	lines := `{"v":1,"id":"j-old-1","fingerprint":"0123456789abcdef","flow":"dtm","state":"done","submittedAt":1,"finishedAt":2,` +
+		`"request":{"flow":"dtm","benchmark":"Bm1","dtm":{"controller":"toggle","triggerC":80,"passes":2}},` +
+		`"response":{"flow":"dtm","graph":"Bm1","policy":"thermal","dtm":{"controller":"toggle","steps":264,"peakTempC":81.5,` +
+		`"throttledFraction":0.1,"energyDelivered":90,"energyRequested":100,"slowdown":0.1},"elapsedMs":3}}` + "\n" +
+		`{"v":1,"id":"j-old-2","fingerprint":"fedcba9876543210","flow":"platform","state":"done","submittedAt":3,"finishedAt":4,` +
+		`"response":{"flow":"platform","graph":"Bm1","policy":"thermal","elapsedMs":1}}` + "\n"
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(&fakeEval{}, Config{JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if s := m.Stats(); s.Counters.Replayed != 1 {
+		t.Errorf("replayed %d records, want 1 (the dtm record skipped)", s.Counters.Replayed)
+	}
+	if _, err := m.Get("j-old-1"); err == nil {
+		t.Error("retired dtm job replayed")
+	}
+	if j, err := m.Get("j-old-2"); err != nil || j.State != StateDone {
+		t.Errorf("platform job after the retired record lost: %+v, %v", j, err)
+	}
+}
+
 func TestRateLimiter(t *testing.T) {
 	l := NewRateLimiter(1, 2)
 	now := time.Unix(0, 0)

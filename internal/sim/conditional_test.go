@@ -167,9 +167,10 @@ func TestUnconditionalRunIgnoresProbabilities(t *testing.T) {
 
 // Skipped-branch PEs contribute zero power to the transient trace: the
 // power-trace columns of a PE whose every task was skipped must be
-// all-zero, and executed tasks must still appear. This is the trace the
-// closed-loop runtime (internal/runtime) and the open-loop dtm.Run both
-// feed from.
+// all-zero, and executed tasks must still appear. This is the
+// hotspot.PowerTrace the public ExecuteSchedule result hands to
+// transient replays; the closed-loop runtime (internal/runtime) draws
+// the same realization through sim.Realize.
 func TestConditionalTraceSkippedPEZeroPower(t *testing.T) {
 	s := ctgSchedule(t)
 	sawSkippedPE := false

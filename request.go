@@ -24,13 +24,6 @@ const (
 	// FlowSweep is the randomized robustness study: power-aware vs
 	// thermal-aware over many generated graphs.
 	FlowSweep FlowKind = "sweep"
-	// FlowDTM schedules on the platform, replays the schedule in the
-	// discrete-event executor, and drives the transient thermal model
-	// under a dynamic-thermal-management controller. The power trace is
-	// fixed before the controller sees it (open loop): throttling scales
-	// power but cannot slow execution down. FlowSimulate is the
-	// closed-loop counterpart.
-	FlowDTM FlowKind = "dtm"
 	// FlowSimulate schedules on the platform and then co-simulates the
 	// schedule, the transient thermal model and a DTM controller in
 	// lockstep (closed loop): throttling stretches the affected tasks,
@@ -113,81 +106,6 @@ func (s *GraphSpec) Graph() (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// DTMSpec parameterizes the FlowDTM run-time study. The zero value uses
-// the documented defaults.
-type DTMSpec struct {
-	// Controller is "toggle" (default) or "pi".
-	Controller string `json:"controller,omitempty"`
-	// TriggerC, Hysteresis and Throttle parameterize the toggle
-	// controller. Defaults: 85 °C trigger, 3 °C hysteresis, 0.4 throttle.
-	TriggerC   float64 `json:"triggerC,omitempty"`
-	Hysteresis float64 `json:"hysteresis,omitempty"`
-	Throttle   float64 `json:"throttle,omitempty"`
-	// SetpointC, Kp, Ki and MinScale parameterize the PI controller.
-	// Defaults: 85 °C setpoint, Kp 0.05, Ki 0.002, MinScale 0.1.
-	SetpointC float64 `json:"setpointC,omitempty"`
-	Kp        float64 `json:"kp,omitempty"`
-	Ki        float64 `json:"ki,omitempty"`
-	MinScale  float64 `json:"minScale,omitempty"`
-	// SampleDT is the power-trace sampling interval in schedule time
-	// units (default 10); TimeScale converts one schedule time unit to
-	// seconds of transient simulation (default 0.1).
-	SampleDT  float64 `json:"sampleDT,omitempty"`
-	TimeScale float64 `json:"timeScale,omitempty"`
-	// Passes loops the schedule's power trace to let the die warm up
-	// (default 4).
-	Passes int `json:"passes,omitempty"`
-	// MinFactor is the executor's execution-time factor lower bound in
-	// (0, 1] (default 1: replay the worst case); SimSeed drives the
-	// per-task factors.
-	MinFactor float64 `json:"minFactor,omitempty"`
-	SimSeed   int64   `json:"simSeed,omitempty"`
-}
-
-func (s *DTMSpec) withDefaults() DTMSpec {
-	out := DTMSpec{}
-	if s != nil {
-		out = *s
-	}
-	if out.Controller == "" {
-		out.Controller = "toggle"
-	}
-	if out.TriggerC == 0 {
-		out.TriggerC = 85
-	}
-	if out.Hysteresis == 0 {
-		out.Hysteresis = 3
-	}
-	if out.Throttle == 0 {
-		out.Throttle = 0.4
-	}
-	if out.SetpointC == 0 {
-		out.SetpointC = 85
-	}
-	if out.Kp == 0 {
-		out.Kp = 0.05
-	}
-	if out.Ki == 0 {
-		out.Ki = 0.002
-	}
-	if out.MinScale == 0 {
-		out.MinScale = 0.1
-	}
-	if out.SampleDT == 0 {
-		out.SampleDT = 10
-	}
-	if out.TimeScale == 0 {
-		out.TimeScale = 0.1
-	}
-	if out.Passes == 0 {
-		out.Passes = 4
-	}
-	if out.MinFactor == 0 {
-		out.MinFactor = 1
-	}
-	return out
 }
 
 // SimulateSpec parameterizes the FlowSimulate closed-loop co-simulation.
@@ -401,9 +319,6 @@ type Request struct {
 	// (default 4).
 	SweepCount int `json:"sweepCount,omitempty"`
 
-	// DTM tunes FlowDTM; nil uses the defaults documented on DTMSpec.
-	DTM *DTMSpec `json:"dtm,omitempty"`
-
 	// Simulate tunes FlowSimulate; nil uses the defaults documented on
 	// SimulateSpec.
 	Simulate *SimulateSpec `json:"simulate,omitempty"`
@@ -536,11 +451,6 @@ func WithSweepCount(n int) RequestOption {
 	return func(r *Request) { r.SweepCount = n }
 }
 
-// WithDTM tunes the FlowDTM controller and simulation.
-func WithDTM(spec DTMSpec) RequestOption {
-	return func(r *Request) { r.DTM = &spec }
-}
-
 // WithSimulate tunes the FlowSimulate closed-loop co-simulation.
 func WithSimulate(spec SimulateSpec) RequestOption {
 	return func(r *Request) { r.Simulate = &spec }
@@ -670,9 +580,6 @@ func (r *Request) Validate() error {
 	case "", hotspot.SolverDense, hotspot.SolverSparse, hotspot.SolverPCG:
 	default:
 		return fieldErr("solver", "unknown solver %q (want one of %v)", r.Solver, hotspot.SolverNames())
-	}
-	if r.DTM != nil && r.Flow != FlowDTM {
-		return fieldErr("dtm", "dtm parameters on a %q request", r.Flow)
 	}
 	if r.Simulate != nil && r.Flow != FlowSimulate {
 		return fieldErr("simulate", "simulate parameters on a %q request", r.Flow)

@@ -238,21 +238,21 @@ func (e *Engine) streamFor(spec StreamSpec) (*StreamWorkload, error) {
 		return nil, err
 	}
 	fp := ws.Fingerprint()
-	if wl, ok := e.streams.get(fp); ok {
+	if wl, ok := e.streams.Get(fp); ok {
 		return wl, nil
 	}
 	wl, err := scenario.GenerateStream(ws)
 	if err != nil {
 		return nil, err
 	}
-	e.streams.put(fp, wl)
+	e.streams.Put(fp, wl)
 	return wl, nil
 }
 
 // StreamCacheStats reports the generated-workload cache's hit/miss
 // counters and current size, for observability and tests.
 func (e *Engine) StreamCacheStats() (hits, misses uint64, size int) {
-	return e.streams.stats()
+	return e.streams.Stats()
 }
 
 // StreamReport is the FlowStream payload: the workload's realized
@@ -338,20 +338,17 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 		return stream.NewForecaster(stream.Input{Jobs: jobs, Lib: wl.Lib, Arch: arch, Model: model}, cfgOf(0))
 	})
 	results := make([]*stream.Result, spec.Replicas)
-	errs := make([]error, spec.Replicas)
-	runReplica := func(i int) {
+	err = e.fanReplicas(ctx, req.Parallelism, spec.Replicas, func(i int) error {
 		// Each replica gets its own influence oracle and supervisor:
 		// both are incremental state, not safe for concurrent use, and
 		// oracle rows are built lazily so unused policies pay nothing.
 		oracle, err := sched.NewModelOracle(model, arch)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		sup, err := streamSupervisor(policy, spec)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		in := stream.Input{
 			Jobs:       jobs,
@@ -362,47 +359,15 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 			Supervisor: sup,
 		}
 		if sup != nil && sup.Proactive() {
-			if in.Forecast, errs[i] = forecast(); errs[i] != nil {
-				return
+			if in.Forecast, err = forecast(); err != nil {
+				return err
 			}
 		}
-		results[i], errs[i] = stream.Run(ctx, in, cfgOf(i))
-	}
-	// Replica fan-out mirrors runSimulateFlow: extra parallelism comes
-	// from the engine-wide token pool so concurrent RunBatch workers
-	// stay bounded; a request-level Parallelism narrows this run to its
-	// own pool of P−1 tokens plus the inline slot (P=1 is fully
-	// serial). Either way results are byte-identical — only wall-clock
-	// changes.
-	tokens := e.simTokens
-	if req.Parallelism > 0 {
-		tokens = make(chan struct{}, req.Parallelism-1)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < spec.Replicas; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case tokens <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-tokens }()
-				runReplica(i)
-			}(i)
-		default:
-			runReplica(i)
-		}
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		results[i], err = stream.Run(ctx, in, cfgOf(i))
+		return err
+	})
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	makespans := make([]float64, spec.Replicas)

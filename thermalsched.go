@@ -24,10 +24,7 @@
 //
 // Engine.Platform and Engine.CoSynthesize are the typed counterparts
 // returning full FlowResults (schedule, floorplan, thermal model), and
-// cmd/thermschedd serves Engine.Run over HTTP/JSON. The package-level
-// RunPlatform/RunCoSynthesis/RunSweep functions predate the Engine;
-// they remain as thin deprecated wrappers over a shared default Engine
-// and return results identical to earlier releases.
+// cmd/thermschedd serves Engine.Run over HTTP/JSON.
 //
 // Beyond the paper's four benchmarks, the generate and campaign flows
 // run the same machinery on synthetic workloads: seeded random task
@@ -179,53 +176,7 @@ type (
 	FlowResult = cosynth.Result
 	// FlowMetrics are the three columns of the paper's tables.
 	FlowMetrics = cosynth.Metrics
-	// PlatformConfig parameterizes the platform-based flow (Fig. 1b).
-	PlatformConfig = cosynth.PlatformConfig
-	// CoSynthConfig parameterizes the co-synthesis flow (Fig. 1a).
-	CoSynthConfig = cosynth.CoSynthConfig
 )
-
-// RunPlatform schedules g on the paper's fixed platform of four
-// identical PEs under the given policy (Fig. 1b).
-//
-// Deprecated: use Engine.Run with FlowPlatform or Engine.Platform. This
-// wrapper runs on the shared DefaultEngine and returns metrics
-// identical to earlier releases.
-func RunPlatform(g *Graph, lib *Library, policy Policy) (*FlowResult, error) {
-	return RunPlatformConfig(g, lib, PlatformConfig{Policy: policy})
-}
-
-// RunPlatformConfig is RunPlatform with full configuration control.
-//
-// Deprecated: use Engine.Run with FlowPlatform or Engine.Platform.
-func RunPlatformConfig(g *Graph, lib *Library, cfg PlatformConfig) (*FlowResult, error) {
-	e, err := DefaultEngine()
-	if err != nil {
-		return nil, err
-	}
-	return e.platform(context.Background(), g, lib, cfg)
-}
-
-// RunCoSynthesis runs the co-synthesis flow (Fig. 1a): deadline-driven
-// PE selection with floorplanning and thermal extraction in the loop.
-//
-// Deprecated: use Engine.Run with FlowCoSynthesis or
-// Engine.CoSynthesize. This wrapper runs on the shared DefaultEngine
-// and returns metrics identical to earlier releases.
-func RunCoSynthesis(g *Graph, lib *Library, policy Policy) (*FlowResult, error) {
-	return RunCoSynthesisConfig(g, lib, CoSynthConfig{Policy: policy})
-}
-
-// RunCoSynthesisConfig is RunCoSynthesis with full configuration control.
-//
-// Deprecated: use Engine.Run with FlowCoSynthesis or Engine.CoSynthesize.
-func RunCoSynthesisConfig(g *Graph, lib *Library, cfg CoSynthConfig) (*FlowResult, error) {
-	e, err := DefaultEngine()
-	if err != nil {
-		return nil, err
-	}
-	return e.cosynthesize(context.Background(), g, lib, cfg)
-}
 
 // Power-domain types.
 type (
@@ -250,8 +201,6 @@ type (
 	SimResult = sim.Result
 	// DTMController throttles PE power based on observed temperatures.
 	DTMController = dtm.Controller
-	// DTMResult summarizes a DTM transient run.
-	DTMResult = dtm.RunResult
 	// ThermalSupervisor is the widened thermal-management contract: a
 	// DTMController that also classifies block temperatures into
 	// graduated thermal states and answers admission queries.
@@ -303,12 +252,6 @@ func NewPIDTM(setpointC, kp, ki, minScale float64) (DTMController, error) {
 	return dtm.NewPIController(setpointC, kp, ki, minScale)
 }
 
-// RunDTM drives a transient simulation of per-block power samples under
-// a DTM controller.
-func RunDTM(model *ThermalModel, ctrl DTMController, samples [][]float64, dt float64) (*DTMResult, error) {
-	return dtm.Run(model, ctrl, samples, dt)
-}
-
 // Experiment suite (Tables 1–3).
 type (
 	// Suite bundles the benchmarks and library for table regeneration.
@@ -335,18 +278,3 @@ type (
 	// ScalingRow is one task-count point of the scaling study.
 	ScalingRow = experiments.ScalingRow
 )
-
-// RunSweep compares the power-aware and thermal-aware ASPs over count
-// random task graphs on the platform flow.
-//
-// Deprecated: use Engine.Run with FlowSweep or Engine.Sweep. This
-// wrapper runs on the shared DefaultEngine's model cache and returns
-// results identical to earlier releases.
-func RunSweep(lib *Library, count int, seed int64) (*SweepResult, error) {
-	e, err := DefaultEngine()
-	if err != nil {
-		return nil, err
-	}
-	return experiments.RunSweepWith(context.Background(), lib, count, seed,
-		cosynth.PlatformConfig{Models: e.modelProvider()})
-}

@@ -39,6 +39,14 @@ func validationCases() []struct {
 			cli:   []string{"-flow", "psychic"},
 		},
 		{
+			// The open-loop dtm flow is retired; simulate is the one
+			// DTM path.
+			name:  "retired dtm flow",
+			req:   thermalsched.Request{Flow: "dtm", Benchmark: "Bm1"},
+			field: "flow",
+			cli:   []string{"-flow", "dtm", "-benchmark", "Bm1"},
+		},
+		{
 			name:  "missing input",
 			req:   thermalsched.Request{Flow: thermalsched.FlowPlatform, Policy: "thermal"},
 			field: "input",
